@@ -566,10 +566,8 @@ func BenchmarkChurnEpoch(b *testing.B) {
 func BenchmarkWindowedInference(b *testing.B) {
 	// Windowed inference under churn over scaled-world@Scale-10 (33
 	// IXPs, ~16k ASes) with minute-scale windows: the delta-maintained
-	// incremental observation store versus the re-mine-per-window
-	// fallback, replaying the identical pre-built announce/withdraw
-	// trace (both modes produce byte-identical meshes; the equivalence
-	// tests pin that). The shared trace build is setup cost, outside
+	// incremental observation store replaying a pre-built
+	// announce/withdraw trace. The trace build is setup cost, outside
 	// the timer.
 	cfg := topology.DefaultConfig()
 	cfg.Scenario = "scaled-world"
@@ -581,29 +579,21 @@ func BenchmarkWindowedInference(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, bc := range []struct {
-		name string
-		mode core.WindowsMode
-	}{
-		{"incremental", core.WindowsIncremental},
-		{"remine", core.WindowsRemine},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				// Workers=0 resolves to GOMAXPROCS, so `go test -cpu=1,4,8`
-				// produces the close-time scaling table directly.
-				res, err := ct.Windows(bc.mode, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Windows) != ccfg.Epochs {
-					b.Fatalf("ran %d windows, want %d", len(res.Windows), ccfg.Epochs)
-				}
+	b.Run("incremental", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			// Workers=0 resolves to GOMAXPROCS, so `go test -cpu=1,4,8`
+			// produces the close-time scaling table directly.
+			res, err := ct.Windows(0)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(ccfg.Epochs), "windows/op")
-		})
-	}
+			if len(res.Windows) != ccfg.Epochs {
+				b.Fatalf("ran %d windows, want %d", len(res.Windows), ccfg.Epochs)
+			}
+		}
+		b.ReportMetric(float64(ccfg.Epochs), "windows/op")
+	})
 }
 
 func BenchmarkWindowedInferenceShort(b *testing.B) {
@@ -620,7 +610,7 @@ func BenchmarkWindowedInferenceShort(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ct.Windows(core.WindowsIncremental, 0)
+		res, err := ct.Windows(0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -672,7 +662,7 @@ func BenchmarkLongHorizonWindows(b *testing.B) {
 	var msFirst, msLast runtime.MemStats
 	for i := 0; i < b.N; i++ {
 		var closes []time.Duration
-		err := ct.StreamWindows(core.WindowsIncremental, 0, 0, func(pw *core.PassiveWindow) {
+		err := ct.StreamWindows(0, 0, func(pw *core.PassiveWindow) {
 			if pw.Result != nil {
 				b.Fatal("streaming window materialized a Result")
 			}

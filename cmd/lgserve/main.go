@@ -1,49 +1,38 @@
-// Command lgserve serves the inference over HTTP. By default it runs
-// the epoch-pinned gateway: a background reconciler churns a generated
+// Command lgserve serves the inference over HTTP through the
+// epoch-pinned gateway: a background reconciler churns a generated
 // world, replays it through the incremental windowed inference, and
 // publishes each committed window as an immutable epoch snapshot that
 // the query endpoints serve with real cache semantics (ETag /
 // If-None-Match / Last-Modified / bounded in-flight backpressure).
-// With -static it reverts to the original looking-glass server over a
-// single frozen world.
 //
 // Usage:
 //
-//	lgserve [-scale 0.2] [-addr 127.0.0.1:8080] [-static]
+//	lgserve [-scale 0.2] [-seed 20130501] [-addr 127.0.0.1:8080]
 //	        [-churn-epochs 12] [-churn-interval 1m] [-epoch-interval 200ms]
 //	        [-max-inflight 256] [-max-age 0] [-drain 10s] [-workers 0]
 //
-// Gateway query examples:
+// Query examples:
 //
 //	curl -i 'http://127.0.0.1:8080/v1/epoch'
 //	curl -i 'http://127.0.0.1:8080/v1/mesh'
 //	curl -i 'http://127.0.0.1:8080/v1/link?a=20121&b=20122'
 //	curl -i -H 'If-None-Match: "e3-..."' 'http://127.0.0.1:8080/v1/stats'
 //
-// Static-mode query examples:
-//
-//	curl 'http://127.0.0.1:8080/rs/DE-CIX?q=show+ip+bgp+summary'
-//	curl 'http://127.0.0.1:8080/rs/DE-CIX?q=show+ip+bgp+20.1.4.0/24'
-//
-// In both modes SIGINT/SIGTERM shut the server down gracefully:
-// in-flight requests get up to -drain to finish before the listener
-// closes.
+// SIGINT/SIGTERM shut the server down gracefully: in-flight requests
+// get up to -drain to finish before the listener closes.
 package main
 
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
 	"os/signal"
-	"sort"
 	"syscall"
 	"time"
 
 	"mlpeering/internal/churn"
-	"mlpeering/internal/pipeline"
 	"mlpeering/internal/serve"
 	"mlpeering/internal/topology"
 )
@@ -55,11 +44,10 @@ func main() {
 	scale := flag.Float64("scale", 0.2, "world scale")
 	seed := flag.Int64("seed", 20130501, "generation seed")
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
-	static := flag.Bool("static", false, "serve the frozen-world looking glasses instead of the gateway")
-	churnEpochs := flag.Int("churn-epochs", 12, "churn epochs per replay cycle (gateway mode)")
-	churnInterval := flag.Duration("churn-interval", time.Minute, "simulated trace time per epoch (gateway mode)")
-	epochInterval := flag.Duration("epoch-interval", 200*time.Millisecond, "minimum wall-clock pacing between snapshot commits (gateway mode)")
-	maxInFlight := flag.Int("max-inflight", 256, "in-flight request cap before 429 (gateway mode, 0 = unbounded)")
+	churnEpochs := flag.Int("churn-epochs", 12, "churn epochs per replay cycle")
+	churnInterval := flag.Duration("churn-interval", time.Minute, "simulated trace time per epoch")
+	epochInterval := flag.Duration("epoch-interval", 200*time.Millisecond, "minimum wall-clock pacing between snapshot commits")
+	maxInFlight := flag.Int("max-inflight", 256, "in-flight request cap before 429 (0 = unbounded)")
 	maxAge := flag.Duration("max-age", 0, "Cache-Control max-age (0 = no-cache, always revalidate)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 	workers := flag.Int("workers", 0, "window-close worker pool size (0 = GOMAXPROCS)")
@@ -75,11 +63,6 @@ func main() {
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	if *static {
-		runStatic(ctx, ln, cfg, *drain)
-		return
 	}
 
 	ccfg := churn.DefaultConfig(*seed)
@@ -115,52 +98,6 @@ func main() {
 
 	log.Printf("shutting down (drain %v)", *drain)
 	if err := serve.WaitShutdown(ctx, srv, *drain); err != nil {
-		log.Fatalf("shutdown: %v", err)
-	}
-	log.Printf("bye")
-}
-
-// runStatic preserves the original mode: build one world and serve its
-// looking glasses, now with the same graceful SIGINT/SIGTERM drain as
-// the gateway.
-func runStatic(ctx context.Context, ln net.Listener, cfg topology.Config, drain time.Duration) {
-	start := time.Now()
-	w, err := pipeline.BuildWorld(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("world built in %v", time.Since(start).Round(time.Millisecond))
-
-	for _, info := range w.Topo.IXPs {
-		if info.HasLG {
-			fmt.Printf("route server LG: http://%s/rs/%s?q=show+ip+bgp+summary\n", ln.Addr(), info.Name)
-		}
-	}
-	// Print one example member LG; pick it by sorted IXP name so the
-	// banner is stable run to run.
-	names := make([]string, 0, len(w.Topo.MemberLGs))
-	for name := range w.Topo.MemberLGs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if lgs := w.Topo.MemberLGs[name]; len(lgs) > 0 {
-			fmt.Printf("member LG:       http://%s/as/%s?q=show+ip+bgp+<prefix>\n", ln.Addr(), lgs[0].ASN)
-			break
-		}
-	}
-	log.Printf("serving on %s (static mode)", ln.Addr())
-	srv := &http.Server{Handler: w.LGHandler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		log.Fatal(err)
-	case <-ctx.Done():
-	}
-	log.Printf("shutting down (drain %v)", drain)
-	if err := serve.WaitShutdown(ctx, srv, drain); err != nil {
 		log.Fatalf("shutdown: %v", err)
 	}
 	log.Printf("bye")

@@ -34,7 +34,6 @@ func main() {
 	churnMode := flag.Bool("churn", false, "run the route-churn dynamics workload (windowed inference) instead of the paper tables")
 	churnEpochs := flag.Int("churn-epochs", 6, "churn mode: number of mutation epochs / inference windows")
 	churnInterval := flag.Duration("churn-interval", 10*time.Minute, "churn mode: epoch and inference-window duration")
-	windowsMode := flag.String("windows-mode", "incremental", "churn mode: per-window mesh derivation (incremental = delta-maintained observation store, remine = re-mine the live table each window)")
 	churnStream := flag.Bool("churn-stream", false, "churn mode: stream windows instead of retaining them (long-horizon replay; prints per-window close stats and a summary)")
 	churnWindows := flag.Int("churn-windows", 0, "churn mode with -churn-stream: total windows to replay (0 = one per epoch; extras replay over the final live table)")
 	churnWorkers := flag.Int("churn-workers", 0, "churn mode: worker goroutines for window closes (0 = all cores, 1 = sequential; output is identical)")
@@ -49,10 +48,6 @@ func main() {
 	cfg.Workers = *workers
 
 	if *churnMode {
-		mode, err := core.ParseWindowsMode(*windowsMode)
-		if err != nil {
-			log.Fatal(err)
-		}
 		ccfg := churn.DefaultConfig(*seed + 11)
 		ccfg.Epochs = *churnEpochs
 		ccfg.Interval = *churnInterval
@@ -68,9 +63,9 @@ func main() {
 			time.Since(start).Round(time.Millisecond), *scale, ct.Scenario, ct.Epochs, ct.Interval)
 		stopCPU := startCPUProfile(*cpuProfile)
 		if *churnStream {
-			runChurnStream(ct, mode, *churnWindows, *churnWorkers)
+			runChurnStream(ct, *churnWindows, *churnWorkers)
 		} else {
-			res, err := ct.Run(mode, *churnWorkers)
+			res, err := ct.Run(*churnWorkers)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -139,14 +134,14 @@ func writeMemProfile(file string) {
 // far past the mutation epochs at flat memory. Per-window close stats go
 // to stdout; a summary of first/second-half close times and the post-GC
 // heap follows.
-func runChurnStream(ct *experiments.ChurnTrace, mode core.WindowsMode, windows, workers int) {
+func runChurnStream(ct *experiments.ChurnTrace, windows, workers int) {
 	total := windows
 	if total <= 0 {
 		total = ct.Epochs
 	}
 	var closes []time.Duration
 	var ms runtime.MemStats
-	err := ct.StreamWindows(mode, windows, workers, func(w *core.PassiveWindow) {
+	err := ct.StreamWindows(windows, workers, func(w *core.PassiveWindow) {
 		closes = append(closes, w.CloseTime)
 		fmt.Fprintf(os.Stdout, "window %3d: live %6d rels %5d p2p %5d mesh %4d stability %.3f close %v\n",
 			len(closes)-1, w.LiveRoutes, w.RelLinks, w.P2PRels, w.MeshLinks, w.Stability,
@@ -174,8 +169,8 @@ func runChurnStream(ct *experiments.ChurnTrace, mode core.WindowsMode, windows, 
 		}
 		return sum / time.Duration(len(ds))
 	}
-	log.Printf("streamed %d windows (%s mode): mean close %v (first half %v, second half %v), live heap %.1f MB",
-		len(closes), mode, mean(closes).Round(time.Microsecond),
+	log.Printf("streamed %d windows: mean close %v (first half %v, second half %v), live heap %.1f MB",
+		len(closes), mean(closes).Round(time.Microsecond),
 		mean(closes[:half]).Round(time.Microsecond), mean(closes[half:]).Round(time.Microsecond),
 		float64(ms.HeapAlloc)/(1<<20))
 }

@@ -3,10 +3,9 @@
 // path attributes and the RFC 4271 wire codec for BGP messages.
 //
 // The package is self-contained (standard library only) and is the
-// foundation for the MRT archive codec (internal/mrt), the routing
-// information bases (internal/rib), the route server (internal/routeserver)
-// and ultimately the multilateral peering inference algorithm
-// (internal/core).
+// foundation for the MRT archive codec (internal/mrt), the route
+// propagation engine (internal/propagate) and ultimately the
+// multilateral peering inference algorithm (internal/core).
 package bgp
 
 import (

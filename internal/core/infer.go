@@ -177,7 +177,7 @@ func InferLinks(dict *Dictionary, obs ObservationSource) *Result {
 // attribution list. Two results over the same dictionary describe the
 // same mesh iff their encodings are byte-equal; the windowed
 // equivalence tests pin the incremental pipeline to the re-mine
-// fallback with it.
+// oracle with it.
 func (r *Result) AppendMesh(dst []byte) []byte {
 	keys := make([]topology.LinkKey, 0, len(r.Links))
 	for k := range r.Links {

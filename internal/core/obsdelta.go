@@ -1,13 +1,13 @@
-// Delta-maintained windowed mining: the incremental counterpart of
-// mineLiveTable. Announce/withdraw events apply as +/- deltas to
-// reference-counted (setter, member, prefix-group) observation counts,
-// so a window's ML mesh is derived from the maintained store instead of
-// re-mining every live route. Routes are grouped by their (path,
-// community-set) shape; each group's hygiene flags, IXP attribution and
-// — when the §4.2 pinpointing is relationship-independent — its setter
-// are derived once, and only the relationship-dependent groups (three
-// or more IXP participants on the path) are re-pinpointed at window
-// close against the incrementally maintained relation oracle.
+// Delta-maintained windowed mining. Announce/withdraw events apply as
+// +/- deltas to reference-counted (setter, member, prefix-group)
+// observation counts, so a window's ML mesh is derived from the
+// maintained store instead of re-mining every live route. Routes are
+// grouped by their (path, community-set) shape; each group's hygiene
+// flags, IXP attribution and — when the §4.2 pinpointing is
+// relationship-independent — its setter are derived once, and only the
+// relationship-dependent groups (three or more IXP participants on the
+// path) are re-pinpointed at window close against the incrementally
+// maintained relation oracle.
 package core
 
 import (
@@ -18,7 +18,6 @@ import (
 	"mlpeering/internal/par"
 	"mlpeering/internal/paths"
 	"mlpeering/internal/relation"
-	"mlpeering/internal/topology"
 )
 
 // obsSet is one counted community set observed for a (setter, prefix).
@@ -106,15 +105,14 @@ type obsShard struct {
 // DeltaObservations is a reference-counted observation store: the
 // C_{a,p} of §4.1 step 3 maintained under announce (+1) and withdraw
 // (-1) deltas. It implements ObservationSource, so InferLinks derives
-// the per-window mesh from it directly; with dirty tracking enabled it
-// additionally records which (IXP, setter) pairs changed, so MeshState
-// re-derives only those at window close. State is sharded by setter
-// hash: deltas for different shards may be applied concurrently, and
-// DrainDirty merges the per-shard dirty lists in fixed shard order, so
-// the merged order is deterministic and worker-count-invariant.
+// the per-window mesh from it directly; it also records which (IXP,
+// setter) pairs changed, so MeshState re-derives only those at window
+// close. State is sharded by setter hash: deltas for different shards
+// may be applied concurrently, and DrainDirty merges the per-shard
+// dirty lists in fixed shard order, so the merged order is
+// deterministic and worker-count-invariant.
 type DeltaObservations struct {
-	shards     [obsShardCount]obsShard
-	trackDirty bool
+	shards [obsShardCount]obsShard
 }
 
 // NewDeltaObservations returns an empty store.
@@ -125,10 +123,6 @@ func NewDeltaObservations() *DeltaObservations {
 	}
 	return o
 }
-
-// TrackDirty turns on dirty-setter tracking (used by the incremental
-// mesh; the remine fallback skips the bookkeeping).
-func (o *DeltaObservations) TrackDirty() { o.trackDirty = true }
 
 // DrainDirty appends the setters dirtied since the last drain to dst
 // and resets the tracking, merging the per-shard lists in shard order
@@ -174,7 +168,7 @@ func (o *DeltaObservations) addShard(shard int, ixpName string, setter bgp.ASN, 
 		}
 		x.setters[setter] = s
 	}
-	if o.trackDirty && !s.dirty {
+	if !s.dirty {
 		s.dirty = true
 		sh.dirtyList = append(sh.dirtyList, DirtySetter{IXP: ixpName, Setter: setter})
 	}
@@ -373,8 +367,7 @@ type windowMiner struct {
 	// derived state is bit-identical for any value.
 	workers int
 
-	// obsQueue defers the window's observation deltas per setter shard
-	// (incremental mode only; the remine fallback applies synchronously).
+	// obsQueue defers the window's observation deltas per setter shard.
 	obsQueue [obsShardCount][]obsOp
 
 	pinScratch []pinResult
@@ -395,8 +388,8 @@ type windowMiner struct {
 	ident map[string]identShape
 
 	obs  *DeltaObservations
-	rel  *relation.Incremental // nil in remine mode
-	mesh *MeshState            // nil in remine mode
+	rel  *relation.Incremental
+	mesh *MeshState
 
 	pathLive map[paths.ID]int
 
@@ -406,13 +399,11 @@ type windowMiner struct {
 	dropBogon, dropCycle int
 }
 
-// newWindowMiner returns an empty miner. rel may be nil, in which case
-// the caller owns relation maintenance, setter resolution and mesh
-// derivation (the remine fallback); otherwise the miner maintains the
-// reciprocity mesh incrementally through a MeshState fed by the
-// observation store's dirty-setter tracking, running its close-time
-// phases on a pool of workers goroutines.
-func newWindowMiner(dict *Dictionary, store *paths.Store, rel *relation.Incremental, workers int) *windowMiner {
+// newWindowMiner returns an empty miner that maintains the reciprocity
+// mesh incrementally through a MeshState fed by the observation store's
+// dirty-setter tracking, running its close-time phases on a pool of
+// workers goroutines.
+func newWindowMiner(dict *Dictionary, store *paths.Store, workers int) *windowMiner {
 	m := &windowMiner{
 		dict:     dict,
 		store:    store,
@@ -420,14 +411,11 @@ func newWindowMiner(dict *Dictionary, store *paths.Store, rel *relation.Incremen
 		groups:   make(map[paths.ID]map[string]*windowGroup),
 		ident:    make(map[string]identShape),
 		obs:      NewDeltaObservations(),
-		rel:      rel,
+		rel:      relation.NewIncremental(store),
+		mesh:     NewMeshState(dict),
 		pathLive: make(map[paths.ID]int),
 	}
-	if rel != nil {
-		rel.Workers = m.workers
-		m.obs.TrackDirty()
-		m.mesh = NewMeshState(dict)
-	}
+	m.rel.Workers = m.workers
 	return m
 }
 
@@ -496,9 +484,7 @@ func (m *windowMiner) group(path paths.ID, comms bgp.Communities, ckey string) *
 		if g.relsDep {
 			g.registered = true
 			m.relsDeps = append(m.relsDeps, g)
-			if m.rel != nil {
-				g.setter, g.resolved = PinpointSetter(p, g.entry, m.rel)
-			}
+			g.setter, g.resolved = PinpointSetter(p, g.entry, m.rel)
 		} else {
 			g.setter, g.resolved = PinpointSetter(p, g.entry, nil)
 		}
@@ -556,25 +542,19 @@ func (m *windowMiner) apply(g *windowGroup, prefix bgp.Prefix, delta int) {
 		} else {
 			m.pathLive[g.path] = now
 		}
-		if m.rel != nil {
-			if before == 0 && now > 0 {
-				m.rel.AddPath(g.path)
-			} else if before > 0 && now == 0 {
-				m.rel.RemovePath(g.path)
-			}
+		if before == 0 && now > 0 {
+			m.rel.AddPath(g.path)
+		} else if before > 0 && now == 0 {
+			m.rel.RemovePath(g.path)
 		}
 	}
 	if g.mineable() && g.resolved {
-		if m.rel != nil {
-			// Incremental mode: defer the delta into the setter's shard
-			// queue; the close flushes all shards on the worker pool.
-			// Per-setter op order is preserved (one setter, one shard),
-			// and nothing reads the store until the flush completed.
-			s := obsShardOf(g.setter)
-			m.obsQueue[s] = append(m.obsQueue[s], obsOp{g: g, prefix: prefix, delta: delta})
-		} else {
-			m.obs.add(g.entry.Name, g.setter, prefix, g.relKey, g.relComms, delta)
-		}
+		// Defer the delta into the setter's shard queue; the close
+		// flushes all shards on the worker pool. Per-setter op order is
+		// preserved (one setter, one shard), and nothing reads the store
+		// until the flush completed.
+		s := obsShardOf(g.setter)
+		m.obsQueue[s] = append(m.obsQueue[s], obsOp{g: g, prefix: prefix, delta: delta})
 	}
 }
 
@@ -708,19 +688,6 @@ func (m *windowMiner) sweepDeadShapes() {
 	if len(m.deadQueue) == 0 {
 		m.deadQueue = nil // release the drained queue's backing array
 	}
-}
-
-// countP2P tallies p2p-labelled links through the allocation-free
-// iterator.
-func countP2P(rels relation.Oracle) int {
-	n := 0
-	rels.ForEachLink(func(_ topology.LinkKey, r relation.Rel) bool {
-		if r == relation.RelP2P {
-			n++
-		}
-		return true
-	})
-	return n
 }
 
 // sortASNs sorts ascending in place.

@@ -1,6 +1,6 @@
 //go:build !race
 
-package experiments
+package core_test
 
 // raceEnabled mirrors race_on_test.go for non-race builds.
 const raceEnabled = false

@@ -3,59 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/mrt"
 	"mlpeering/internal/paths"
-	"mlpeering/internal/relation"
 	"mlpeering/internal/topology"
 )
-
-// WindowsMode selects how each window's ML mesh is derived.
-type WindowsMode int
-
-// Windowed inference modes.
-const (
-	// WindowsIncremental derives every window from the delta-maintained
-	// observation store: announce/withdraw events apply as +/- deltas to
-	// refcounted observation counts and to the incremental relation
-	// oracle, so a window close touches only what changed.
-	WindowsIncremental WindowsMode = iota
-	// WindowsRemine re-mines the entire live table at every window
-	// close — the pre-incremental cost profile (sort, hygiene, batch
-	// relation inference and community mining over every live route) —
-	// kept as the equivalence fallback: both modes produce
-	// byte-identical per-window meshes. Note both modes share the
-	// canonical order-independent observation reduction (see
-	// prefixDelta.winner); where feeders disagree on a (setter, prefix)
-	// community set, the smallest canonical set wins, where the PR 4
-	// miner kept the last set in sorted row order.
-	WindowsRemine
-)
-
-// String implements fmt.Stringer.
-func (m WindowsMode) String() string {
-	switch m {
-	case WindowsRemine:
-		return "remine"
-	default:
-		return "incremental"
-	}
-}
-
-// ParseWindowsMode parses a -windows-mode flag value.
-func ParseWindowsMode(s string) (WindowsMode, error) {
-	switch s {
-	case "incremental":
-		return WindowsIncremental, nil
-	case "remine":
-		return WindowsRemine, nil
-	default:
-		return 0, fmt.Errorf("core: unknown windows mode %q (want incremental or remine)", s)
-	}
-}
 
 // WindowOptions parameterizes RunPassiveWindows.
 type WindowOptions struct {
@@ -67,37 +21,35 @@ type WindowOptions struct {
 	// Count is the number of windows to emit. Windows past the last
 	// update still run (over the then-static live table).
 	Count int
-	// Mode selects incremental (default) or re-mine derivation.
-	Mode WindowsMode
 	// Workers caps the worker pool the incremental miner fans out on at
 	// window close (sharded delta flush, per-IXP mesh re-checks, the
 	// relation oracle's Commit, snapshotting). 0 means GOMAXPROCS; 1
 	// forces the sequential path. Results are bit-identical for any
-	// value. Remine mode ignores it.
+	// value.
 	Workers int
 	// Stream, when non-nil, receives each window at close instead of
 	// accumulating it in PassiveWindowsResult.Windows — the long-horizon
-	// replay mode. In incremental mode a streamed window carries the
-	// maintained counters (MeshLinks, Stability, CloseTime, ...) but,
-	// unless Materialize is set, no materialized Result: the mesh is
-	// not snapshotted, so a close allocates O(churn), not O(mesh). The
-	// pointer is only valid for the duration of the callback.
+	// replay mode. A streamed window carries the maintained counters
+	// (MeshLinks, Stability, CloseTime, ...) but, unless Materialize is
+	// set, no materialized Result: the mesh is not snapshotted, so a
+	// close allocates O(churn), not O(mesh). The pointer is only valid
+	// for the duration of the callback.
 	Stream func(*PassiveWindow)
 	// Materialize forces each streamed window to carry its snapshotted
-	// Result even in incremental streaming mode — the serving tier's
-	// epoch producer consumes windows through Stream but publishes the
-	// materialized mesh. No effect when Stream is nil (results are
-	// always materialized then). The Result is freshly built per close
-	// and safe to retain beyond the callback.
+	// Result — the serving tier's epoch producer consumes windows
+	// through Stream but publishes the materialized mesh. No effect when
+	// Stream is nil (results are always materialized then). The Result
+	// is freshly built per close and safe to retain beyond the callback.
 	Materialize bool
 	// Ctx, when non-nil, cancels the replay: the run returns ctx.Err()
 	// at the next window-close boundary after cancellation. Committed
 	// windows already handed to Stream stay valid.
 	Ctx context.Context
 
-	// shadow, when set (tests only), receives the incremental miner
-	// after every window close for full-InferLinks shadow checks.
-	shadow func(*windowMiner, *PassiveWindow)
+	// shadow, when set (tests only), receives the miner, the closed
+	// window and the live route table after every window close, for
+	// full-InferLinks and re-mine oracle checks.
+	shadow func(*windowMiner, *PassiveWindow, map[liveKey]liveRoute)
 }
 
 // PassiveWindow is one window's inference outcome over the routes live
@@ -116,8 +68,8 @@ type PassiveWindow struct {
 	// Dropped tallies hygiene-filtered live routes.
 	Dropped DropStats
 	// RelLinks and P2PRels describe the window's AS-relationship
-	// inference: total inferred links and the p2p-labelled subset. In
-	// incremental mode both are delta-maintained counters.
+	// inference: total inferred links and the p2p-labelled subset, both
+	// delta-maintained counters.
 	RelLinks, P2PRels int
 	// MeshLinks is the distinct inferred ML link count — equal to
 	// Result.TotalLinks(), but available even when Result is not
@@ -129,8 +81,8 @@ type PassiveWindow struct {
 	// CloseTime is the wall-clock cost of deriving this window at close.
 	CloseTime time.Duration
 	// Result is the multilateral-peering inference over the window's
-	// live view. Nil in streaming incremental mode; use the maintained
-	// counters instead.
+	// live view. Nil in streaming mode unless WindowOptions.Materialize
+	// is set; use the maintained counters instead.
 	Result *Result
 }
 
@@ -173,11 +125,10 @@ type liveRoute struct {
 // update-only filter in snapshot mode. Updates must be ordered as read
 // from the archive; equal timestamps keep file order.
 //
-// In the default incremental mode every event applies as a +/- delta to
-// the refcounted observation store and the incremental relation oracle,
-// so a window close costs O(changes), not O(live table); remine mode
-// rebuilds everything per window and is pinned byte-identical by the
-// equivalence tests.
+// Every event applies as a +/- delta to the refcounted observation
+// store and the incremental relation oracle, so a window close costs
+// O(changes), not O(live table). The equivalence tests pin each window
+// byte-identical to a from-scratch re-mine of the live table.
 func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Dictionary, opts WindowOptions) (*PassiveWindowsResult, error) {
 	if opts.Window <= 0 {
 		return nil, fmt.Errorf("core: non-positive window %v", opts.Window)
@@ -188,50 +139,26 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 
 	store := paths.NewStore()
 	live := make(map[liveKey]liveRoute)
-	var miner *windowMiner
-	if opts.Mode == WindowsIncremental {
-		miner = newWindowMiner(dict, store, relation.NewIncremental(store), opts.Workers)
-	}
+	miner := newWindowMiner(dict, store, opts.Workers)
 
 	// intern resolves an announced (path, communities) to its canonical
 	// shape: probe the shape map with a scratch key first (string(ckb)
 	// map access compiles allocation-free) and only Clone the community
-	// set — and materialize the key — on first sight of the shape. In
-	// remine mode, where the miner's shape map is rebuilt per window, a
-	// run-scoped side table provides the same interning.
+	// set — and materialize the key — on first sight of the shape.
 	var ckb []byte
-	var remineShapes map[paths.ID]map[string]liveRoute
-	if miner == nil {
-		remineShapes = make(map[paths.ID]map[string]liveRoute)
-	}
 	intern := func(id paths.ID, comms bgp.Communities) liveRoute {
 		ckb = appendCommsKey(ckb[:0], comms)
-		if miner != nil {
-			if g, ok := miner.groups[id][string(ckb)]; ok {
-				return liveRoute{path: id, comms: g.comms, ckey: g.ckey}
-			}
-		} else if r, ok := remineShapes[id][string(ckb)]; ok {
-			return r
+		if g, ok := miner.groups[id][string(ckb)]; ok {
+			return liveRoute{path: id, comms: g.comms, ckey: g.ckey}
 		}
-		r := liveRoute{path: id, comms: comms.Clone(), ckey: string(ckb)}
-		if miner == nil {
-			inner := remineShapes[id]
-			if inner == nil {
-				inner = make(map[string]liveRoute, 1)
-				remineShapes[id] = inner
-			}
-			inner[r.ckey] = r
-		}
-		return r
+		return liveRoute{path: id, comms: comms.Clone(), ckey: string(ckb)}
 	}
 
 	set := func(k liveKey, r liveRoute) {
-		if miner != nil {
-			if old, ok := live[k]; ok {
-				miner.apply(miner.group(old.path, old.comms, old.ckey), k.prefix, -1)
-			}
-			miner.apply(miner.group(r.path, r.comms, r.ckey), k.prefix, 1)
+		if old, ok := live[k]; ok {
+			miner.apply(miner.group(old.path, old.comms, old.ckey), k.prefix, -1)
 		}
+		miner.apply(miner.group(r.path, r.comms, r.ckey), k.prefix, 1)
 		live[k] = r
 	}
 	del := func(k liveKey) {
@@ -239,9 +166,7 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 		if !ok {
 			return
 		}
-		if miner != nil {
-			miner.apply(miner.group(old.path, old.comms, old.ckey), k.prefix, -1)
-		}
+		miner.apply(miner.group(old.path, old.comms, old.ckey), k.prefix, -1)
 		delete(live, k)
 	}
 
@@ -265,28 +190,17 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 	res := &PassiveWindowsResult{}
 	cur := PassiveWindow{Start: opts.Start, End: opts.Start.Add(opts.Window)}
 
-	// prevRemineLinks carries the previous window's link set for the
-	// remine-mode stability computation; incremental mode derives
-	// stability from the mesh's running counters instead.
-	var prevRemineLinks map[topology.LinkKey][]string
 	winIdx := 0
 	closeWindow := func() {
 		//mlplint:clock close-duration telemetry only; never feeds inference or window boundaries
 		t0 := time.Now()
 		cur.LiveRoutes = len(live)
-		if miner != nil {
-			miner.closeWindow(&cur, opts.Stream == nil || opts.Materialize || opts.shadow != nil)
-			if opts.shadow != nil {
-				opts.shadow(miner, &cur)
-			}
-		} else {
-			remineLiveTable(store, live, dict, &cur)
-			cur.MeshLinks = cur.Result.TotalLinks()
-			cur.Stability = jaccardLinks(prevRemineLinks, cur.Result.Links)
-			prevRemineLinks = cur.Result.Links
-		}
+		miner.closeWindow(&cur, opts.Stream == nil || opts.Materialize || opts.shadow != nil)
 		if winIdx == 0 {
 			cur.Stability = 1
+		}
+		if opts.shadow != nil {
+			opts.shadow(miner, &cur, live)
 		}
 		cur.CloseTime = time.Since(t0)
 		res.Stability = append(res.Stability, cur.Stability)
@@ -298,7 +212,6 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 		winIdx++
 		cur = PassiveWindow{Start: cur.End, End: cur.End.Add(opts.Window)}
 	}
-
 	apply := func(u *mrt.BGP4MPMessage, count bool) {
 		upd, ok := u.Message.(*bgp.Update)
 		if !ok {
@@ -362,68 +275,4 @@ func RunPassiveWindows(dumps []*mrt.Dump, updates []*mrt.BGP4MPMessage, dict *Di
 		closeWindow()
 	}
 	return res, nil
-}
-
-// remineLiveTable runs hygiene + community mining + link inference over
-// the full live table, deterministically (the table is sorted before
-// mining): the re-mine fallback the incremental path is pinned against.
-// It reuses the same grouped derivation and refcounted store, built
-// from scratch, so both modes reduce observations identically.
-func remineLiveTable(store *paths.Store, live map[liveKey]liveRoute, dict *Dictionary, w *PassiveWindow) {
-	keys := make([]liveKey, 0, len(live))
-	for k := range live {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].peer != keys[j].peer {
-			return keys[i].peer < keys[j].peer
-		}
-		return bgp.ComparePrefixes(keys[i].prefix, keys[j].prefix) < 0
-	})
-
-	m := newWindowMiner(dict, store, nil, 1)
-	var kept []paths.ID
-	for _, k := range keys {
-		r := live[k]
-		g := m.group(r.path, r.comms, r.ckey)
-		if g.keptPath() && m.pathLive[g.path] == 0 {
-			kept = append(kept, g.path)
-		}
-		m.apply(g, k.prefix, 1)
-	}
-
-	rels := relation.Infer(paths.NewView(store, kept))
-	for _, g := range m.relsDeps {
-		setter, ok := PinpointSetter(store.Path(g.path), g.entry, rels)
-		m.moveContributions(g, ok, setter)
-	}
-
-	w.Dropped.Bogon = m.dropBogon
-	w.Dropped.Cycle = m.dropCycle
-	w.RelLinks = rels.LinkCount()
-	w.P2PRels = countP2P(rels)
-	w.Result = InferLinks(dict, m.obs)
-}
-
-// jaccardLinks computes |a∩b| / |a∪b| over link sets (1 when both are
-// empty), iterating only the smaller side.
-func jaccardLinks(a, b map[topology.LinkKey][]string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	small, big := a, b
-	if len(b) < len(a) {
-		small, big = b, a
-	}
-	inter := 0
-	for k := range small {
-		if _, ok := big[k]; ok {
-			inter++
-		}
-	}
-	union := len(a) + len(b) - inter
-	return float64(inter) / float64(union)
 }

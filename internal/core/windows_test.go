@@ -10,7 +10,6 @@ import (
 	"mlpeering/internal/bgp"
 	"mlpeering/internal/mrt"
 	"mlpeering/internal/paths"
-	"mlpeering/internal/relation"
 )
 
 func upd(ts time.Time, peer bgp.ASN, path []bgp.ASN, cs bgp.Communities, nlri, withdrawn []bgp.Prefix) *mrt.BGP4MPMessage {
@@ -205,46 +204,21 @@ func flapTrace(t *testing.T, t0 time.Time, w time.Duration) []*mrt.BGP4MPMessage
 	}
 }
 
-// TestWindowedModesEquivalent pins the tentpole property at test scale:
-// the incremental windowed path produces byte-identical per-window ML
-// meshes — and identical counters — to the re-mine fallback.
+// TestWindowedModesEquivalent pins the miner to its oracle at test
+// scale: the incremental windowed path produces byte-identical
+// per-window ML meshes — and identical counters — to a from-scratch
+// re-mine of each window's live table.
 func TestWindowedModesEquivalent(t *testing.T) {
 	d := testDict(t)
 	t0 := time.Date(2013, 5, 1, 2, 0, 0, 0, time.UTC)
 	w := 10 * time.Minute
 	updates := flapTrace(t, t0, w)
 
-	run := func(mode WindowsMode) *PassiveWindowsResult {
-		res, err := RunPassiveWindows(nil, updates, d, WindowOptions{Start: t0, Window: w, Count: 4, Mode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	inc, rem, err := remineWindows(nil, updates, d, WindowOptions{Start: t0, Window: w, Count: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	inc, rem := run(WindowsIncremental), run(WindowsRemine)
-
-	if len(inc.Windows) != len(rem.Windows) {
-		t.Fatalf("window counts diverge: %d vs %d", len(inc.Windows), len(rem.Windows))
-	}
-	var a, b []byte
-	for i := range inc.Windows {
-		wi, wr := &inc.Windows[i], &rem.Windows[i]
-		a = wi.Result.AppendMesh(a[:0])
-		b = wr.Result.AppendMesh(b[:0])
-		if !bytes.Equal(a, b) {
-			t.Fatalf("window %d: meshes diverge (incremental %d links, remine %d)",
-				i, wi.Result.TotalLinks(), wr.Result.TotalLinks())
-		}
-		if wi.LiveRoutes != wr.LiveRoutes || wi.Dropped != wr.Dropped ||
-			wi.RelLinks != wr.RelLinks || wi.P2PRels != wr.P2PRels ||
-			wi.MeshLinks != wr.MeshLinks ||
-			wi.Announced != wr.Announced || wi.Withdrawn != wr.Withdrawn {
-			t.Fatalf("window %d: counters diverge:\nincremental %+v\nremine      %+v", i, wi, wr)
-		}
-		if inc.Stability[i] != rem.Stability[i] {
-			t.Fatalf("window %d: stability diverges: %v vs %v", i, inc.Stability[i], rem.Stability[i])
-		}
-	}
+	assertWindowsMatch(t, "oracle", inc, rem)
 	// The trace must actually exercise the interesting machinery.
 	if inc.Windows[0].Dropped.Bogon == 0 {
 		t.Fatal("no bogon was dropped; trace too weak")
@@ -261,7 +235,7 @@ func TestWindowedModesEquivalent(t *testing.T) {
 func TestWindowFlapRestoresObservationState(t *testing.T) {
 	d := testDict(t)
 	store := paths.NewStore()
-	m := newWindowMiner(d, store, relation.NewIncremental(store), 1)
+	m := newWindowMiner(d, store, 1)
 
 	all := comms(t, "6695:6695")
 	ck := commsKey(all)
@@ -319,7 +293,7 @@ func TestWindowFlapRestoresObservationState(t *testing.T) {
 // TestWindowedRSLeaveRejoin models an RS leave as the member's
 // announcements losing their RS communities for a window, then
 // regaining them: coverage (and the member's links) must vanish for
-// exactly that window in both modes.
+// exactly that window, in the miner and in the re-mine oracle.
 func TestWindowedRSLeaveRejoin(t *testing.T) {
 	d := testDict(t)
 	t0 := time.Date(2013, 5, 1, 2, 0, 0, 0, time.UTC)
@@ -337,30 +311,35 @@ func TestWindowedRSLeaveRejoin(t *testing.T) {
 		upd(t0.Add(2*w+time.Minute), 100, []bgp.ASN{100, 300}, all, []bgp.Prefix{p2}, nil),
 	}
 
-	for _, mode := range []WindowsMode{WindowsIncremental, WindowsRemine} {
-		res, err := RunPassiveWindows(nil, updates, d, WindowOptions{Start: t0, Window: w, Count: 3, Mode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
+	inc, rem, err := remineWindows(nil, updates, d, WindowOptions{Start: t0, Window: w, Count: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []struct {
+		name string
+		res  *PassiveWindowsResult
+	}{{"incremental", inc}, {"oracle", rem}} {
+		name, res := run.name, run.res
 		links := []int{res.Windows[0].Result.TotalLinks(), res.Windows[1].Result.TotalLinks(), res.Windows[2].Result.TotalLinks()}
 		if links[0] != 1 || links[1] != 0 || links[2] != 1 {
-			t.Fatalf("%v: links per window = %v, want [1 0 1]", mode, links)
+			t.Fatalf("%s: links per window = %v, want [1 0 1]", name, links)
 		}
 		// The live table never shrank: the member kept announcing, only
 		// its RS coverage went away.
 		for i, pw := range res.Windows {
 			if pw.LiveRoutes != 2 {
-				t.Fatalf("%v: window %d live = %d, want 2", mode, i, pw.LiveRoutes)
+				t.Fatalf("%s: window %d live = %d, want 2", name, i, pw.LiveRoutes)
 			}
 		}
 	}
 }
 
-// TestWindowedShadowInferLinks runs the per-window full-InferLinks
-// shadow check across a mixed announce/withdraw/RS-leave/filter-edit
-// schedule: at every close, the delta-maintained mesh snapshot must be
-// byte-identical to a from-scratch InferLinks over the same observation
-// store, and the maintained counters must match the full derivation.
+// TestWindowedShadowInferLinks runs the per-window shadow checks across
+// a mixed announce/withdraw/RS-leave/filter-edit schedule: at every
+// close, the delta-maintained mesh snapshot must be byte-identical to
+// the re-mine oracle over the live table and to a from-scratch
+// InferLinks over the same observation store, and the maintained
+// counters must match both derivations.
 func TestWindowedShadowInferLinks(t *testing.T) {
 	d := testDict(t)
 	t0 := time.Date(2013, 5, 1, 2, 0, 0, 0, time.UTC)
@@ -408,9 +387,17 @@ func TestWindowedShadowInferLinks(t *testing.T) {
 			shadowCalls := 0
 			var meshLinks []int
 			var a, b []byte
-			opts := WindowOptions{Start: t0, Window: w, Count: 5, Mode: WindowsIncremental, Workers: workers}
-			opts.shadow = func(m *windowMiner, pw *PassiveWindow) {
+			opts := WindowOptions{Start: t0, Window: w, Count: 5, Workers: workers}
+			opts.shadow = func(m *windowMiner, pw *PassiveWindow, live map[liveKey]liveRoute) {
 				shadowCalls++
+				var ow PassiveWindow
+				remineLiveTable(m.store, live, m.dict, &ow)
+				a = pw.Result.AppendMesh(a[:0])
+				b = ow.Result.AppendMesh(b[:0])
+				if !bytes.Equal(a, b) || pw.MeshLinks != ow.MeshLinks || pw.RelLinks != ow.RelLinks ||
+					pw.P2PRels != ow.P2PRels || pw.Dropped != ow.Dropped || pw.LiveRoutes != ow.LiveRoutes {
+					t.Fatalf("window %d: diverges from the re-mine oracle:\nminer  %+v\noracle %+v", shadowCalls-1, pw, &ow)
+				}
 				full := InferLinks(m.dict, m.obs)
 				a = pw.Result.AppendMesh(a[:0])
 				b = full.AppendMesh(b[:0])
@@ -441,12 +428,12 @@ func TestWindowedShadowInferLinks(t *testing.T) {
 	}
 }
 
-// TestWindowedWorkerSweep pins the tentpole's worker-count invariance:
-// the same mixed announce/withdraw/RS-leave-rejoin/filter-edit schedule
-// run with Workers ∈ {2, 4, 8} must produce byte-identical per-window
-// meshes and identical counters and stability to the sequential
-// Workers=1 run. It runs under -race too, so the sweep also exercises
-// the close-time pool for data races.
+// TestWindowedWorkerSweep pins worker-count invariance: the same mixed
+// announce/withdraw/RS-leave-rejoin/filter-edit schedule run with
+// Workers ∈ {2, 4, 8} must produce byte-identical per-window meshes and
+// identical counters and stability to the sequential Workers=1 run, and
+// every run must match the re-mine oracle. It runs under -race too, so
+// the sweep also exercises the close-time pool for data races.
 func TestWindowedWorkerSweep(t *testing.T) {
 	d := testDict(t)
 	t0 := time.Date(2013, 5, 1, 2, 0, 0, 0, time.UTC)
@@ -454,41 +441,21 @@ func TestWindowedWorkerSweep(t *testing.T) {
 	updates := flapTrace(t, t0, w)
 
 	run := func(workers int) *PassiveWindowsResult {
-		res, err := RunPassiveWindows(nil, updates, d, WindowOptions{
-			Start: t0, Window: w, Count: 4, Mode: WindowsIncremental, Workers: workers,
+		res, oracle, err := remineWindows(nil, updates, d, WindowOptions{
+			Start: t0, Window: w, Count: 4, Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		assertWindowsMatch(t, fmt.Sprintf("workers=%d vs oracle", workers), res, oracle)
 		return res
 	}
 	seq := run(1)
 	if seq.Windows[0].RelLinks == 0 || seq.Windows[0].Dropped.Bogon == 0 {
 		t.Fatal("trace too weak to exercise the pipeline")
 	}
-	var a, b []byte
 	for _, workers := range []int{2, 4, 8} {
-		par := run(workers)
-		if len(par.Windows) != len(seq.Windows) {
-			t.Fatalf("workers=%d: window counts diverge: %d vs %d", workers, len(par.Windows), len(seq.Windows))
-		}
-		for i := range seq.Windows {
-			ws, wp := &seq.Windows[i], &par.Windows[i]
-			a = ws.Result.AppendMesh(a[:0])
-			b = wp.Result.AppendMesh(b[:0])
-			if !bytes.Equal(a, b) {
-				t.Fatalf("workers=%d window %d: mesh diverges from sequential", workers, i)
-			}
-			if ws.LiveRoutes != wp.LiveRoutes || ws.Dropped != wp.Dropped ||
-				ws.RelLinks != wp.RelLinks || ws.P2PRels != wp.P2PRels ||
-				ws.MeshLinks != wp.MeshLinks || ws.Stability != wp.Stability ||
-				ws.Announced != wp.Announced || ws.Withdrawn != wp.Withdrawn {
-				t.Fatalf("workers=%d window %d: counters diverge:\nseq %+v\npar %+v", workers, i, ws, wp)
-			}
-			if seq.Stability[i] != par.Stability[i] {
-				t.Fatalf("workers=%d window %d: stability diverges: %v vs %v", workers, i, seq.Stability[i], par.Stability[i])
-			}
-		}
+		assertWindowsMatch(t, fmt.Sprintf("workers=%d vs sequential", workers), run(workers), seq)
 	}
 }
 
@@ -500,7 +467,7 @@ func TestWindowedWorkerSweep(t *testing.T) {
 func TestFlapStormShapeSweep(t *testing.T) {
 	d := testDict(t)
 	store := paths.NewStore()
-	m := newWindowMiner(d, store, relation.NewIncremental(store), 4)
+	m := newWindowMiner(d, store, 4)
 
 	all := comms(t, "6695:6695")
 	ck := commsKey(all)

@@ -37,7 +37,6 @@ type ChurnWindowRow struct {
 // world mutates underneath the measurement.
 type ChurnResult struct {
 	Scenario string
-	Mode     core.WindowsMode
 	Epochs   int
 	Interval time.Duration
 	Rows     []ChurnWindowRow
@@ -46,7 +45,7 @@ type ChurnResult struct {
 // ChurnTrace is a pre-built churn workload: the world's base RIB
 // dumps, the announce/withdraw update trace of the full churn schedule,
 // the inference dictionary, and the per-epoch ground truth. It is the
-// reusable input of the windowed inference — mode comparisons and
+// reusable input of the windowed inference — oracle comparisons and
 // benchmarks replay the same trace instead of regenerating the world.
 type ChurnTrace struct {
 	Scenario string
@@ -103,27 +102,26 @@ func BuildChurnTrace(cfg topology.Config, ccfg churn.Config) (*ChurnTrace, error
 	}, nil
 }
 
-// Windows replays the trace through the windowed passive pipeline in
-// the given mode. workers sizes the close-time worker pool (0 means
-// GOMAXPROCS); results are bit-identical for any value.
-func (ct *ChurnTrace) Windows(mode core.WindowsMode, workers int) (*core.PassiveWindowsResult, error) {
+// Windows replays the trace through the windowed passive pipeline.
+// workers sizes the close-time worker pool (0 means GOMAXPROCS);
+// results are bit-identical for any value.
+func (ct *ChurnTrace) Windows(workers int) (*core.PassiveWindowsResult, error) {
 	return core.RunPassiveWindows(ct.Dumps, ct.Updates, ct.Dict, core.WindowOptions{
 		Start:   ct.Start,
 		Window:  ct.Interval,
 		Count:   ct.Epochs,
-		Mode:    mode,
 		Workers: workers,
 	})
 }
 
 // StreamWindows replays the trace in streaming mode: each window is
-// handed to fn at close and not retained — in incremental mode the mesh
-// is never snapshotted, so memory stays bounded by the live state
-// regardless of horizon length (the long-horizon replay mode). count
-// overrides the number of windows when positive (windows past the last
-// update replay over the then-static live table), letting a fixed trace
-// drive an arbitrarily long horizon.
-func (ct *ChurnTrace) StreamWindows(mode core.WindowsMode, count, workers int, fn func(*core.PassiveWindow)) error {
+// handed to fn at close and not retained — the mesh is never
+// snapshotted, so memory stays bounded by the live state regardless of
+// horizon length (the long-horizon replay mode). count overrides the
+// number of windows when positive (windows past the last update replay
+// over the then-static live table), letting a fixed trace drive an
+// arbitrarily long horizon.
+func (ct *ChurnTrace) StreamWindows(count, workers int, fn func(*core.PassiveWindow)) error {
 	if count <= 0 {
 		count = ct.Epochs
 	}
@@ -131,20 +129,19 @@ func (ct *ChurnTrace) StreamWindows(mode core.WindowsMode, count, workers int, f
 		Start:   ct.Start,
 		Window:  ct.Interval,
 		Count:   count,
-		Mode:    mode,
 		Workers: workers,
 		Stream:  fn,
 	})
 	return err
 }
 
-// ReplayWindows replays the trace through the incremental windowed
-// pipeline handing each window to fn at close, like StreamWindows, but
-// with the per-window Result materialized — the serving tier's epoch
-// producer: each callback carries a freshly snapshotted mesh that is
-// safe to retain after the callback returns (the *PassiveWindow itself
-// is not). ctx cancels the replay at the next window-close boundary;
-// count overrides the number of windows when positive.
+// ReplayWindows replays the trace through the windowed pipeline,
+// handing each window to fn at close like StreamWindows, but with the
+// per-window Result materialized — the serving tier's epoch producer:
+// each callback carries a freshly snapshotted mesh that is safe to
+// retain after the callback returns (the *PassiveWindow itself is not).
+// ctx cancels the replay at the next window-close boundary; count
+// overrides the number of windows when positive.
 func (ct *ChurnTrace) ReplayWindows(ctx context.Context, count, workers int, fn func(*core.PassiveWindow)) error {
 	if count <= 0 {
 		count = ct.Epochs
@@ -153,7 +150,6 @@ func (ct *ChurnTrace) ReplayWindows(ctx context.Context, count, workers int, fn 
 		Start:       ct.Start,
 		Window:      ct.Interval,
 		Count:       count,
-		Mode:        core.WindowsIncremental,
 		Workers:     workers,
 		Stream:      fn,
 		Materialize: true,
@@ -162,29 +158,16 @@ func (ct *ChurnTrace) ReplayWindows(ctx context.Context, count, workers int, fn 
 	return err
 }
 
-// RunChurn builds a churn trace and re-runs passive inference per epoch
-// window in the given mode (core.WindowsIncremental maintains the
-// observation store under announce/withdraw deltas; core.WindowsRemine
-// re-mines per window).
-func RunChurn(cfg topology.Config, ccfg churn.Config, mode core.WindowsMode, workers int) (*ChurnResult, error) {
-	ct, err := BuildChurnTrace(cfg, ccfg)
-	if err != nil {
-		return nil, err
-	}
-	return ct.Run(mode, workers)
-}
-
-// Run derives the churn experiment table from the trace in the given
-// mode, fanning window closes out on workers goroutines (0 means
-// GOMAXPROCS).
-func (ct *ChurnTrace) Run(mode core.WindowsMode, workers int) (*ChurnResult, error) {
-	windows, err := ct.Windows(mode, workers)
+// Run derives the churn experiment table from the trace, fanning window
+// closes out on workers goroutines (0 means GOMAXPROCS).
+func (ct *ChurnTrace) Run(workers int) (*ChurnResult, error) {
+	windows, err := ct.Windows(workers)
 	if err != nil {
 		return nil, err
 	}
 	trace := ct.Trace
 
-	res := &ChurnResult{Scenario: ct.Scenario, Mode: mode, Epochs: ct.Epochs, Interval: ct.Interval}
+	res := &ChurnResult{Scenario: ct.Scenario, Epochs: ct.Epochs, Interval: ct.Interval}
 	for k := range windows.Windows {
 		pw := &windows.Windows[k]
 		row := ChurnWindowRow{
@@ -225,8 +208,8 @@ func (ct *ChurnTrace) Run(mode core.WindowsMode, workers int) (*ChurnResult, err
 // Render formats the experiment as a table.
 func (r *ChurnResult) Render() *metrics.Table {
 	t := &metrics.Table{
-		Title: fmt.Sprintf("Route churn: windowed ML-mesh inference (%s, %s mode, %d epochs @ %v)",
-			r.Scenario, r.Mode, r.Epochs, r.Interval),
+		Title: fmt.Sprintf("Route churn: windowed ML-mesh inference (%s, incremental mode, %d epochs @ %v)",
+			r.Scenario, r.Epochs, r.Interval),
 		Columns: []string{"window", "ops", "dirty", "ann", "wdr", "wdr-only", "live", "rels", "p2p", "links", "stability", "precision", "recall"},
 	}
 	for _, row := range r.Rows {

@@ -1,31 +1,28 @@
 package experiments
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 	"time"
 
 	"mlpeering/internal/churn"
-	"mlpeering/internal/core"
 	"mlpeering/internal/topology"
 )
 
-func churnResultMode(t *testing.T, seed int64, cfg topology.Config, mode core.WindowsMode) *ChurnResult {
+func churnResult(t *testing.T, seed int64) *ChurnResult {
 	t.Helper()
 	ccfg := churn.DefaultConfig(seed)
 	ccfg.Epochs = 3
 	ccfg.Interval = 10 * time.Minute
-	res, err := RunChurn(cfg, ccfg, mode, 0)
+	ct, err := BuildChurnTrace(topology.TestConfig(), ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ct.Run(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
-}
-
-func churnResult(t *testing.T, seed int64) *ChurnResult {
-	t.Helper()
-	return churnResultMode(t, seed, topology.TestConfig(), core.WindowsIncremental)
 }
 
 // TestRunChurnShape checks the windowed-inference table is well-formed:
@@ -78,88 +75,4 @@ func TestRunChurnDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a.Rows, b.Rows) {
 		t.Fatalf("rows diverge:\n%+v\n---\n%+v", a.Rows, b.Rows)
 	}
-}
-
-// assertModesEquivalent replays one churn trace through both windowed
-// modes — the sequential incremental path, a 4-worker incremental run,
-// and the remine fallback — and requires byte-identical per-window
-// meshes plus identical experiment rows (mesh size, relationship
-// metrics, stability, precision, recall): the end-to-end form of the
-// tentpole's byte-identity contract, covering both the mode and the
-// worker-count axes.
-func assertModesEquivalent(t *testing.T, seed int64, cfg topology.Config) {
-	t.Helper()
-	ccfg := churn.DefaultConfig(seed)
-	ccfg.Epochs = 3
-	ccfg.Interval = 10 * time.Minute
-	ct, err := BuildChurnTrace(cfg, ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	incW, err := ct.Windows(core.WindowsIncremental, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parW, err := ct.Windows(core.WindowsIncremental, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remW, err := ct.Windows(core.WindowsRemine, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(incW.Windows) != len(remW.Windows) || len(parW.Windows) != len(incW.Windows) {
-		t.Fatalf("window counts diverge: %d sequential vs %d parallel vs %d remine",
-			len(incW.Windows), len(parW.Windows), len(remW.Windows))
-	}
-	var a, b []byte
-	for i := range incW.Windows {
-		wi, wp, wr := &incW.Windows[i], &parW.Windows[i], &remW.Windows[i]
-		a = wi.Result.AppendMesh(a[:0])
-		b = wr.Result.AppendMesh(b[:0])
-		if !bytes.Equal(a, b) {
-			t.Fatalf("window %d: meshes diverge between modes (%d vs %d links)",
-				i, wi.Result.TotalLinks(), wr.Result.TotalLinks())
-		}
-		b = wp.Result.AppendMesh(b[:0])
-		if !bytes.Equal(a, b) {
-			t.Fatalf("window %d: meshes diverge between worker counts (%d vs %d links)",
-				i, wi.Result.TotalLinks(), wp.Result.TotalLinks())
-		}
-		if wi.LiveRoutes != wr.LiveRoutes || wi.Dropped != wr.Dropped ||
-			wi.RelLinks != wr.RelLinks || wi.P2PRels != wr.P2PRels ||
-			wi.Announced != wr.Announced || wi.Withdrawn != wr.Withdrawn ||
-			wi.WithdrawnOnlyUpdates != wr.WithdrawnOnlyUpdates ||
-			incW.Stability[i] != remW.Stability[i] {
-			t.Fatalf("window %d: counters diverge between modes", i)
-		}
-		if wi.LiveRoutes != wp.LiveRoutes || wi.Dropped != wp.Dropped ||
-			wi.RelLinks != wp.RelLinks || wi.P2PRels != wp.P2PRels ||
-			wi.MeshLinks != wp.MeshLinks || incW.Stability[i] != parW.Stability[i] {
-			t.Fatalf("window %d: counters diverge between worker counts", i)
-		}
-	}
-}
-
-// TestRunChurnModesEquivalentTestScale pins incremental to re-mine over
-// the full churn pipeline at test scale.
-func TestRunChurnModesEquivalentTestScale(t *testing.T) {
-	assertModesEquivalent(t, 7, topology.TestConfig())
-}
-
-// TestRunChurnModesEquivalentScale10 repeats the equivalence at
-// scaled-world@Scale-10 (33 IXPs, ~16k ASes): the acceptance scale of
-// the incremental windowed pipeline.
-func TestRunChurnModesEquivalentScale10(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scaled-world equivalence skipped in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("scaled-world equivalence skipped under the race detector")
-	}
-	cfg := topology.DefaultConfig()
-	cfg.Scenario = "scaled-world"
-	cfg.Scale = 10
-	assertModesEquivalent(t, 11, cfg)
 }

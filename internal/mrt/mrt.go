@@ -285,12 +285,16 @@ func UnmarshalRIBRecordArena(b []byte, v6 bool, arena *DumpArena) (*RIBRecord, e
 	}
 	r.Sequence = get32(b)
 	b = b[4:]
-	pfxs, err := bgp.DecodePrefixes(b[:1+int(b[0]+7)/8], v6)
+	plen := 1 + (int(b[0])+7)/8
+	if err := need(b, plen, "RIB prefix"); err != nil {
+		return nil, err
+	}
+	pfxs, err := bgp.DecodePrefixes(b[:plen], v6)
 	if err != nil {
 		return nil, err
 	}
 	r.Prefix = pfxs[0]
-	b = b[1+(int(pfxs[0].Bits())+7)/8:]
+	b = b[plen:]
 	if err := need(b, 2, "RIB entry count"); err != nil {
 		return nil, err
 	}

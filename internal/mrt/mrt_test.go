@@ -126,6 +126,25 @@ func TestRIBRecordTrailingGarbage(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRIBRecordTruncatedPrefix feeds RIB bodies whose prefix
+// length byte claims more address bytes than the body holds: decoding
+// must return an error, never slice past the input. The 0xF9..0xFF
+// lengths also cover the byte-width arithmetic of the prefix size.
+func TestUnmarshalRIBRecordTruncatedPrefix(t *testing.T) {
+	for _, body := range [][]byte{
+		{0, 0, 0, 1, 0x18},
+		{0, 0, 0, 1, 0x20, 10, 0},
+		{0, 0, 0, 1, 0xF9},
+		{0, 0, 0, 1, 0xFF, 1, 2, 3, 4, 5, 6},
+	} {
+		for _, v6 := range []bool{false, true} {
+			if _, err := UnmarshalRIBRecordArena(body, v6, &DumpArena{}); err == nil {
+				t.Errorf("body % x (v6=%v): decoded, want an error", body, v6)
+			}
+		}
+	}
+}
+
 func TestBGP4MPRoundTrip(t *testing.T) {
 	upd := &bgp.Update{
 		Attrs: sampleAttrs(11666, 3356),

@@ -259,10 +259,6 @@ func (w *World) StartLGs() error {
 // BaseURL returns the LG server's base URL (after StartLGs).
 func (w *World) BaseURL() string { return w.baseURL }
 
-// LGHandler exposes the looking-glass HTTP handler for callers that
-// manage their own listener (cmd/lgserve).
-func (w *World) LGHandler() http.Handler { return w.lgServer.Handler() }
-
 // Close shuts down the LG server.
 func (w *World) Close() error {
 	if w.httpSrv == nil {
